@@ -14,9 +14,15 @@ bit-for-bit against its reference, and the engine audit of the FSM zoo
 graph is checked float-identical across backends, so the bench cannot
 report a speedup for wrong bits.
 
-Results are archived under ``benchmarks/results/fsm_kernels.txt`` (human
-table) and ``benchmarks/results/BENCH_fsm_kernels.json`` (machine
-snapshot). Run directly (``python benchmarks/bench_fsm_kernels.py``) or
+A second table times the row-folded stepper on one long stream (batch
+1, N = 2^20) against a frozen copy of the per-chunk loop it replaced —
+one ``take`` per 8 input bits — kept here as the baseline. Each row must
+emit identical output bits on both sides (the work witness) and the fold
+must clear a ``>= 10x`` floor.
+
+Results are archived under ``benchmarks/results/fsm_kernels.txt`` and
+``fsm_kernels_long_stream.txt`` (human tables) and
+``benchmarks/results/BENCH_fsm_kernels.json`` (machine snapshot). Run directly (``python benchmarks/bench_fsm_kernels.py``) or
 through pytest (``pytest benchmarks/bench_fsm_kernels.py -s``).
 """
 
@@ -28,6 +34,7 @@ import pytest
 
 import _snapshot
 from repro import engine, kernels
+from repro.kernels import steppers
 from repro.arith.agnostic import CAAdder, CAMax
 from repro.arith.divide import CorDiv
 from repro.core import Decorrelator, Desynchronizer, Synchronizer, TrackingForecastMemory
@@ -40,6 +47,8 @@ DEPTH = 4
 MIN_SPEEDUP = 10.0
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 CONFIG = {"configs": CONFIGS, "n": N, "depth": DEPTH}
+LONG_N = 1 << 20
+LONG_CONFIG = {"batch": 1, "n": LONG_N}
 
 
 def _best_of(fn, repeats=5):
@@ -180,5 +189,129 @@ def test_engine_audit_float_identical_across_backends():
         assert a.measured_value == b.measured_value
 
 
+# ---------------------------------------------------------------------- #
+# One long stream: row-folded stepping vs the per-chunk loop
+# ---------------------------------------------------------------------- #
+
+def _per_chunk_outputs(fsm, x, y, state):
+    """Frozen baseline: the per-chunk loop of ``chunked_outputs`` before
+    row folding — one fused-LUT ``take`` per chunk over the batch axis."""
+    next_state = fsm.steady.next_state
+    batch, length = x.shape
+    two = fsm.steady.out_y is not None
+    stride = 2 if two else 1
+    out_x = np.empty((batch, length), dtype=np.uint8)
+    out_y = np.empty((batch, length), dtype=np.uint8) if two else None
+    k = min(steppers.choose_chunk(fsm.n_symbols, fsm.n_states), 16 // stride)
+    chunks = length // k
+    if chunks:
+        fused = steppers._composed_table(fsm, k, fused=True).ravel()
+        n_states = np.uint32(fsm.n_states)
+        state_mask = np.uint32(0xFFFF)
+        codes = steppers._pair_chunk_codes(x, y, chunks, k)
+        words = np.empty((batch, chunks), dtype=np.uint32)
+        st = state.astype(np.uint32)
+        for c in range(chunks):
+            f = fused.take(codes[:, c] * n_states + st)
+            words[:, c] = f >> np.uint32(16)
+            st = f & state_mask
+        state = st.astype(next_state.dtype)
+        byte_view = words.astype("<u4", copy=False).view(np.uint8)
+        allbits = np.unpackbits(byte_view, axis=1, bitorder="little")
+        allbits = allbits.reshape(batch, chunks, 32)
+        out_x[:, : chunks * k] = (
+            allbits[:, :, 0 : stride * k : stride].reshape(batch, chunks * k)
+        )
+        if two:
+            out_y[:, : chunks * k] = (
+                allbits[:, :, 1 : 2 * k : 2].reshape(batch, chunks * k)
+            )
+    for t in range(chunks * k, length):
+        sym_t = (x[:, t] << np.uint8(1)) | y[:, t]
+        out_x[:, t] = fsm.steady.out_x[sym_t, state]
+        if two:
+            out_y[:, t] = fsm.steady.out_y[sym_t, state]
+        state = next_state[sym_t, state]
+    return out_x, out_y, state
+
+
+def _measure_long_stream():
+    rng = np.random.default_rng(20)
+    x = rng.integers(0, 2, (1, LONG_N), dtype=np.uint8)
+    y = rng.integers(0, 2, (1, LONG_N), dtype=np.uint8)
+    rows = []
+    for name, circuit in [
+        ("synchronizer(D=1)", Synchronizer(1)),
+        ("desynchronizer(D=1)", Desynchronizer(1)),
+        ("synchronizer(D=4)", Synchronizer(DEPTH)),
+    ]:
+        fsm = kernels.compile_transform(circuit)
+        state = np.full(1, fsm.initial_state, dtype=fsm.steady.next_state.dtype)
+        base = _per_chunk_outputs(fsm, x, y, state)
+        folded = steppers.chunked_outputs(fsm, x, y, state)
+        identical = all(
+            (a is None and b is None) or np.array_equal(a, b)
+            for a, b in zip(base, folded)
+        )
+        t_loop = _best_of(lambda: _per_chunk_outputs(fsm, x, y, state), repeats=3)
+        t_fold = _best_of(lambda: steppers.chunked_outputs(fsm, x, y, state))
+        chunks = LONG_N // 8
+        fold_rows = steppers.choose_rows(1, chunks, fsm.n_states)
+        rows.append((name, fold_rows, t_loop * 1e3, t_fold * 1e3, t_loop / t_fold, identical))
+    return rows
+
+
+def _render_long_stream(rows):
+    lines = [
+        f"row-folded stepping vs per-chunk loop (batch 1, N={LONG_N})",
+        f"{'circuit':<22} {'rows':>5} {'loop ms':>10} {'fold ms':>10} {'speedup':>9}  bit-identical",
+    ]
+    for name, fold_rows, loop_ms, fold_ms, speedup, identical in rows:
+        lines.append(
+            f"{name:<22} {fold_rows:>5} {loop_ms:>10.2f} {fold_ms:>10.2f} "
+            f"{speedup:>8.1f}x  {identical}"
+        )
+    return "\n".join(lines)
+
+
+def _run_and_archive_long_stream():
+    rows = _measure_long_stream()
+    text = _render_long_stream(rows)
+    RESULTS_DIR.mkdir(exist_ok=True)
+    (RESULTS_DIR / "fsm_kernels_long_stream.txt").write_text(text + "\n")
+    for name, _, loop_ms, fold_ms, speedup, _ in rows:
+        _snapshot.add_entry(
+            "fsm_kernels", op=f"{name} [long stream, fold]", wall_ms=fold_ms,
+            config=LONG_CONFIG, speedup=speedup,
+        )
+        _snapshot.add_entry(
+            "fsm_kernels", op=f"{name} [long stream, per-chunk loop]",
+            wall_ms=loop_ms, config=LONG_CONFIG,
+        )
+    _snapshot.write("fsm_kernels")
+    print("\n" + text)
+    return rows, text
+
+
+@pytest.fixture(scope="module")
+def long_stream():
+    return _run_and_archive_long_stream()
+
+
+def test_long_stream_fold_bit_identical(long_stream):
+    rows, text = long_stream
+    bad = [row[0] for row in rows if not row[-1]]
+    assert not bad, f"fold output differs from the per-chunk loop for {bad}\n{text}"
+
+
+def test_long_stream_fold_speedup(long_stream):
+    rows, text = long_stream
+    slow = [(row[0], row[4]) for row in rows if row[4] < MIN_SPEEDUP]
+    assert not slow, (
+        f"row fold under the {MIN_SPEEDUP}x floor over the per-chunk loop: {slow}\n{text}"
+    )
+
+
 if __name__ == "__main__":
     _run_and_archive()
+    _run_and_archive_long_stream()

@@ -1,9 +1,7 @@
 """Legacy setup shim.
 
-The canonical project metadata lives in ``pyproject.toml``; this file exists
-only so that ``pip install -e . --no-use-pep517`` works in offline
-environments that lack the ``wheel`` package required by PEP 517 editable
-builds.
+The canonical project metadata lives in ``pyproject.toml``; this file
+only serves tools that still invoke ``setup.py`` directly.
 """
 
 from setuptools import setup

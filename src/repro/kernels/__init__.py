@@ -9,9 +9,10 @@ were the last interpreter-bound hot path: every one ran a python
 * :mod:`repro.kernels.tables` — lowers each bounded-state circuit to
   explicit ``(symbol, state) -> (next_state, out_bits)`` transition
   tables (plus per-``remaining`` tail tables for the flush modes);
-* :mod:`repro.kernels.steppers` — two vectorised executors over those
-  tables (a chunked-LUT stepper and a log-doubling prefix-scan stepper)
-  with an auto-chosen strategy per ``(length, batch, n_states)``;
+* :mod:`repro.kernels.steppers` — vectorised executors over those
+  tables: a chunked-LUT stepper that row-folds long streams (row count
+  chosen per ``(batch, chunks, n_states)``), plus a log-doubling
+  prefix-scan stepper kept as a forced strategy;
 * :mod:`repro.kernels.dispatch` — per-instance kernel caching, the
   ``auto``/``reference`` backend switch, and the dedicated gather
   kernels (shuffle buffer, TFM output stage).
@@ -42,6 +43,7 @@ from .dispatch import (
 from .steppers import (
     STRATEGIES,
     choose_chunk,
+    choose_rows,
     choose_strategy,
     state_trajectory,
     step_chunk,
@@ -70,6 +72,7 @@ __all__ = [
     "state_trajectory",
     "step_chunk",
     "choose_chunk",
+    "choose_rows",
     "choose_strategy",
     "PairCarrier",
     "StreamCarrier",

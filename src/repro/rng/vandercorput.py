@@ -22,14 +22,27 @@ from .base import PERIOD_CACHE_LIMIT, StreamRNG
 __all__ = ["VanDerCorput"]
 
 
+# byte -> its bit-reversal, e.g. 0b00000001 -> 0b10000000.
+_BYTE_REVERSED = np.array(
+    [int(f"{b:08b}"[::-1], 2) for b in range(256)], dtype=np.uint8
+)
+
+
 def _reverse_bits(values: np.ndarray, width: int) -> np.ndarray:
-    """Bit-reverse each element of ``values`` as a ``width``-bit integer."""
-    result = np.zeros_like(values)
-    v = values.copy()
-    for _ in range(width):
-        result = (result << 1) | (v & 1)
-        v >>= 1
-    return result
+    """Bit-reverse each element of ``values`` as a ``width``-bit integer.
+
+    Byte-wise: the low ``ceil(width / 8)`` bytes go through a 256-entry
+    reversal table in swapped order (one gather), and one shift drops the
+    padding below bit 0. Exact for ``width <= 62`` and any non-negative
+    ``values`` (bits at or above ``width`` are discarded).
+    """
+    nbytes = -(-width // 8)
+    le = np.ascontiguousarray(values, dtype="<i8").reshape(-1).view(np.uint8)
+    le = le.reshape(-1, 8)
+    out = np.zeros_like(le)
+    out[:, :nbytes] = _BYTE_REVERSED[le[:, nbytes - 1::-1]]
+    reversed_ = (out.view("<u8") >> np.uint64(8 * nbytes - width)).view("<i8")
+    return reversed_.reshape(np.shape(values)).astype(values.dtype, copy=False)
 
 
 class VanDerCorput(StreamRNG):
@@ -60,8 +73,10 @@ class VanDerCorput(StreamRNG):
     def period(self) -> int:
         return self.modulus
 
+    # _reverse_bits reads only the low ``width`` bits, so the index wraps
+    # modulo the period without a ``%`` pass.
     def _generate(self, length: int) -> np.ndarray:
-        index = (np.arange(length, dtype=np.int64) + self._phase) % self.modulus
+        index = np.arange(length, dtype=np.int64) + self._phase
         return _reverse_bits(index, self._width)
 
     def _generate_window(self, start: int, stop: int):
@@ -69,7 +84,7 @@ class VanDerCorput(StreamRNG):
         # at any width — wide-register VDC sources stay streamable even
         # when the period is too large for the period cache. Narrow
         # registers decline (return None): tiling the cached period is
-        # cheaper than ``width`` shift passes over the window.
+        # cheaper than a byte-table pass over the window.
         if self.period <= PERIOD_CACHE_LIMIT:
             return None
         return self._generate_at(np.arange(start, stop, dtype=np.int64))
@@ -77,4 +92,4 @@ class VanDerCorput(StreamRNG):
     def _generate_at(self, indices: np.ndarray):
         if self.period <= PERIOD_CACHE_LIMIT:
             return None
-        return _reverse_bits((indices + self._phase) % self.modulus, self._width)
+        return _reverse_bits(indices + self._phase, self._width)

@@ -137,15 +137,17 @@ def _render_run(run, i: int, req: ServeRequest) -> Dict[str, Any]:
 
 
 def _render_audit_batch(audit, i: int, req: ServeRequest) -> Dict[str, Any]:
+    """Request ``i``'s payload from a batched audit (an override-free
+    group audits one shared row)."""
     entries = [
         {
             "node": e.node,
             "op": e.op,
             "required_scc": e.required_scc,
-            "measured_scc": float(e.measured_scc[i]),
-            "expected_value": float(e.expected_value[i]),
-            "measured_value": float(e.measured_value[i]),
-            "violated": bool(e.violated[i]),
+            "measured_scc": float(e.measured_scc[_row(e.measured_scc, i)]),
+            "expected_value": float(e.expected_value[_row(e.expected_value, i)]),
+            "measured_value": float(e.measured_value[_row(e.measured_value, i)]),
+            "violated": bool(e.violated[_row(e.violated, i)]),
         }
         for e in audit.entries
     ]

@@ -7,6 +7,8 @@ lengths, batch sizes, and every stepper strategy — and compilation is a
 deterministic pure function of the circuit's constructor parameters.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro import kernels
+from repro.kernels import steppers
 from repro.arith.agnostic import CAAdder, CAMax
 from repro.arith.divide import CorDiv
 from repro.bitstream import Bitstream, BitstreamBatch
@@ -331,9 +334,24 @@ class TestSteppers:
             assert np.array_equal(final, baseline[1]), strategy
 
     def test_strategy_choice_scales_with_shape(self):
-        # Big batch -> chunked; tiny batch + long stream -> scan.
+        # The chunked stepper is picked at every shape (batch 1 at
+        # N = 2^16, depth-4 synchronizer: scan 76 ms, plain loop 30 ms,
+        # row fold 1.2 ms); the row count is what scales with shape.
         assert kernels.choose_strategy(1024, 1024, 9, 4) == "chunked"
-        assert kernels.choose_strategy(1, 1 << 16, 9, 4) == "scan"
+        assert kernels.choose_strategy(1, 1 << 16, 9, 4) == "chunked"
+        # Long batch-1 streams fold; large batches over short streams
+        # (the tables shards, the 1024 x 1024 sweep) keep the plain loop.
+        assert kernels.choose_rows(1, (1 << 16) // 8, 9) > 1
+        assert kernels.choose_rows(1, (1 << 20) // 8, 9) > 1
+        assert kernels.choose_rows(4096, 1016 // 8, 9) == 1
+        assert kernels.choose_rows(1024, 1024 // 8, 9) == 1
+
+    def test_fold_scratch_is_capped(self):
+        from repro.kernels.steppers import _FOLD_SCRATCH_LIMIT
+
+        for batch, chunks, n_states in [(1, 1 << 20, 9), (1, 1 << 17, 256), (64, 1 << 14, 9)]:
+            rows = kernels.choose_rows(batch, chunks, n_states)
+            assert batch * rows * n_states <= _FOLD_SCRATCH_LIMIT
 
     def test_chunk_size_respects_table_cap(self):
         # 4 symbols, 9 states -> 4^k * 9 <= 2^20 caps k at 8.
@@ -356,6 +374,177 @@ class TestSteppers:
         fsm = kernels.compile_transform(Synchronizer(1))
         with pytest.raises(ValueError):
             kernels.state_trajectory(fsm, np.zeros((1, 4), np.uint8), strategy="nope")
+
+
+# ---------------------------------------------------------------------- #
+# Row-folded stepping: any forced row count is bit-identical
+# ---------------------------------------------------------------------- #
+
+def _forced_rows(rows):
+    """Force the fold's row count (the cost model is otherwise free to
+    pick ``1`` on short streams and never exercise phases 1-2)."""
+    return mock.patch.object(steppers, "choose_rows", lambda batch, chunks, n: rows)
+
+
+FOLD_PAIRS = [
+    lambda depth, flush: Synchronizer(depth, flush=flush),
+    lambda depth, flush: Desynchronizer(depth, flush=flush),
+]
+FOLD_OPS = [CorDiv, CAAdder, lambda: CAMax(counter_bits=3)]
+FOLD_ROWS = st.sampled_from([1, 2, 3, 5, 8, 64])
+
+
+def _reference_map(fsm, symbols, remaining_after=0):
+    """Per-cycle state-map walk: the oracle for :func:`compose_chunk`."""
+    batch, length = symbols.shape
+    maps = np.broadcast_to(np.arange(fsm.n_states), (batch, fsm.n_states)).copy()
+    for t in range(length):
+        remaining = length - t + remaining_after
+        table = fsm.tails[remaining - 1] if remaining <= len(fsm.tails) else fsm.steady
+        maps = table.next_state[symbols[:, t, None], maps]
+    return maps
+
+
+class TestRowFold:
+    @given(
+        family=st.sampled_from(FOLD_PAIRS),
+        depth=st.sampled_from([1, 2, 4]),
+        flush=st.booleans(),
+        batch=st.integers(1, 4),
+        length=st.integers(1, 700),
+        rows=FOLD_ROWS,
+        seed=st.integers(0, 2 ** 16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_pairs_match_reference_and_step(
+        self, family, depth, flush, batch, length, rows, seed
+    ):
+        circuit = family(depth, flush)
+        rng = np.random.default_rng(seed)
+        x, y = _bits(rng, batch, length), _bits(rng, batch, length)
+        with kernels.use_backend("reference"):
+            ref = circuit._process_bits(x, y)
+        with kernels.use_backend("auto", strategy="step"):
+            step = circuit._process_bits(x, y)
+        with _forced_rows(rows):
+            got = circuit._process_bits(x, y)
+        for r, s, g in zip(ref, step, got):
+            assert np.array_equal(r, g) and np.array_equal(s, g)
+
+    @given(
+        factory=st.sampled_from(FOLD_OPS),
+        batch=st.integers(1, 4),
+        length=st.integers(1, 500),
+        rows=FOLD_ROWS,
+        seed=st.integers(0, 2 ** 16),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_ops_match_reference(self, factory, batch, length, rows, seed):
+        op = factory()
+        rng = np.random.default_rng(seed)
+        x, y = _bits(rng, batch, length), _bits(rng, batch, length)
+        with kernels.use_backend("reference"):
+            ref = op.compute(x, y)
+        with _forced_rows(rows):
+            got = op.compute(x, y)
+        assert np.array_equal(np.asarray(ref), np.asarray(got))
+
+    @given(
+        batch=st.integers(1, 4),
+        length=st.integers(1, 900),
+        rows=FOLD_ROWS,
+        seed=st.integers(0, 2 ** 16),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_tfm_trajectory_matches_reference(self, batch, length, rows, seed):
+        tfm = TrackingForecastMemory(LFSR(10, seed=7), bits=6)
+        rng = np.random.default_rng(seed)
+        bits = _bits(rng, batch, length)
+        ref = tfm._reference_process_stream_bits(bits)
+        with _forced_rows(rows):
+            got = tfm._process_stream_bits(bits)
+        assert np.array_equal(ref, got)
+
+    @given(
+        family=st.sampled_from(FOLD_PAIRS),
+        depth=st.sampled_from([1, 3]),
+        flush=st.booleans(),
+        batch=st.integers(1, 3),
+        tiles=st.lists(st.integers(1, 300), min_size=1, max_size=5),
+        tail=st.lists(st.integers(1, 4), max_size=4),
+        rows=FOLD_ROWS,
+        seed=st.integers(0, 2 ** 16),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_tile_splits_resume_exactly(
+        self, family, depth, flush, batch, tiles, tail, rows, seed
+    ):
+        # Short trailing tiles put the chunk boundaries inside the flush
+        # tail, so remaining_after straddles it.
+        circuit = family(depth, flush)
+        fsm = kernels.compile_transform(circuit)
+        sizes = tiles + tail
+        total = sum(sizes)
+        rng = np.random.default_rng(seed)
+        x, y = _bits(rng, batch, total), _bits(rng, batch, total)
+        ref = circuit._reference_process_bits(x, y)
+        state = np.full(batch, fsm.initial_state, dtype=fsm.steady.next_state.dtype)
+        outs, offset = [], 0
+        with _forced_rows(rows):
+            for size in sizes:
+                state, ox, oy = kernels.step_chunk(
+                    fsm, state, x[:, offset:offset + size], y[:, offset:offset + size],
+                    remaining_after=total - offset - size,
+                )
+                outs.append((ox, oy))
+                offset += size
+        assert np.array_equal(np.concatenate([o[0] for o in outs], axis=1), ref[0])
+        assert np.array_equal(np.concatenate([o[1] for o in outs], axis=1), ref[1])
+
+    @given(
+        which=st.sampled_from(["sync", "desync", "tfm"]),
+        batch=st.integers(1, 3),
+        length=st.integers(1, 600),
+        remaining_after=st.integers(0, 6),
+        rows=FOLD_ROWS,
+        seed=st.integers(0, 2 ** 16),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_compose_matches_per_cycle_maps(
+        self, which, batch, length, remaining_after, rows, seed
+    ):
+        circuit = {
+            "sync": lambda: Synchronizer(3, flush=True),
+            "desync": lambda: Desynchronizer(2, flush=True),
+            "tfm": lambda: TrackingForecastMemory(LFSR(8, seed=3), bits=5),
+        }[which]()
+        fsm = kernels.compile_transform(circuit)
+        rng = np.random.default_rng(seed)
+        symbols = rng.integers(0, fsm.n_symbols, (batch, length)).astype(np.uint8)
+        entry = rng.integers(0, fsm.n_states, (batch, fsm.n_states))
+        entry = entry.astype(fsm.steady.next_state.dtype)
+        expected = np.take_along_axis(
+            _reference_map(fsm, symbols, remaining_after), entry.astype(np.intp), axis=1
+        )
+        with _forced_rows(rows):
+            got = steppers.compose_chunk(
+                fsm, entry, symbols, remaining_after=remaining_after
+            )
+        assert np.array_equal(got, expected)
+
+    def test_ragged_last_row(self):
+        # 10 chunks over 3 requested rows: cols = 4, last row 2 chunks.
+        fsm = kernels.compile_transform(Synchronizer(2))
+        codes = np.arange(10, dtype=np.uint32)[None, :]
+        with _forced_rows(3):
+            grid, last_len = steppers._fold_grid(codes, fsm.n_states)
+        assert grid.shape == (4, 1, 3) and last_len == 2
+        rng = np.random.default_rng(0)
+        x, y = _bits(rng, 2, 8 * 10 + 5), _bits(rng, 2, 8 * 10 + 5)
+        ref = Synchronizer(2)._reference_process_bits(x, y)
+        with _forced_rows(3):
+            got = Synchronizer(2)._process_bits(x, y)
+        assert np.array_equal(ref[0], got[0]) and np.array_equal(ref[1], got[1])
 
 
 # ---------------------------------------------------------------------- #

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import engine
+from repro import engine, kernels
 from repro.core import (
     Decorrelator,
     Desynchronizer,
@@ -33,6 +33,7 @@ from repro.engine.parallel import plan_waves, spans_for
 from repro.exceptions import CircuitConfigurationError, GraphCompilationError
 from repro.graph.graph import SCGraph
 from repro.graph.nodes import TransformNode
+from repro.kernels import steppers
 from repro.kernels.streaming import make_pair_carrier, make_pair_composer
 from repro.rng import LFSR
 from tests.helpers import assert_backends_equivalent
@@ -51,6 +52,12 @@ def _state_equal(a, b) -> bool:
             and all(_state_equal(p, q) for p, q in zip(a, b))
         )
     return np.array_equal(np.asarray(a), np.asarray(b))
+
+
+def _forced_rows(rows):
+    """Force the in-process row fold's row count (see
+    :func:`repro.kernels.steppers.choose_rows`)."""
+    return mock.patch.object(steppers, "choose_rows", lambda batch, chunks, n: rows)
 
 
 def _inline_scheduler():
@@ -264,17 +271,25 @@ class TestSplitProperties:
             st.integers(1, 64), st.integers(1, 64), st.integers(1, 64)
         ),
         seed=st.integers(0, 2 ** 16),
+        rows=st.sampled_from([1, 2, 3, 7]),
     )
     @settings(max_examples=15, deadline=None)
-    def test_span_maps_compose(self, factory, lens, seed):
+    def test_span_maps_compose(self, factory, lens, seed, rows):
         # The algebra the prefix scan rests on: span maps composed in
         # any association equal the one-shot map, and applying the
-        # composed map to the fresh state lands on the carrier's state.
+        # composed map to the fresh state lands on the carrier's state —
+        # at any row count of the in-process fold.
         total, batch = sum(lens), 2
         rng = np.random.default_rng(seed)
         x = rng.integers(0, 2, size=(batch, total), dtype=np.uint8)
         y = rng.integers(0, 2, size=(batch, total), dtype=np.uint8)
 
+        with _forced_rows(rows):
+            self._check_span_maps(factory, lens, x, y)
+
+    @staticmethod
+    def _check_span_maps(factory, lens, x, y):
+        batch, total = x.shape
         maps, offset = [], 0
         for chunk in lens:
             composer = make_pair_composer(factory(), total, batch, offset)
@@ -296,6 +311,27 @@ class TestSplitProperties:
         fresh = carrier.get_state()
         carrier.step(x, y)
         assert _state_equal(algebra.apply(left, fresh), carrier.get_state())
+
+    @given(
+        length=st.integers(1, 6000),
+        tile_words=st.integers(1, 8),
+        jobs=st.integers(2, 4),
+        rows=st.sampled_from([1, 2, 3, 7]),
+    )
+    @settings(max_examples=10, deadline=None)
+    def test_long_stream_any_fold_matches_reference(self, length, tile_words, jobs, rows):
+        # Span composers (phase 1 of the scheduler) and tile carriers
+        # both run the row fold; any forced row count must reproduce the
+        # reference loops bit for bit.
+        plan = compile_graph(long_stream_graph(13))
+        with kernels.use_backend("reference"):
+            ref = run_batch(plan, length)
+        with _inline_scheduler(), _forced_rows(rows):
+            result = run_streaming(plan, length, tile_words=tile_words, jobs=jobs)
+        for name in plan.node_order:
+            assert np.array_equal(result.words(name), ref.words(name)), (
+                length, tile_words, jobs, rows, name,
+            )
 
 
 # ---------------------------------------------------------------------- #

@@ -275,3 +275,32 @@ class TestDefaultSeed:
         with default_seed(8):
             b = make_rng("system").sequence(32)
         assert not np.array_equal(a, b)
+
+
+# ---------------------------------------------------------------------- #
+# VDC bit reversal: byte lookup table vs the per-bit shift loop
+# ---------------------------------------------------------------------- #
+
+def _reverse_bits_by_shifts(values, width):
+    """The per-bit reference: ``width`` shift passes."""
+    result = np.zeros_like(values)
+    v = values.copy()
+    for _ in range(width):
+        result = (result << 1) | (v & 1)
+        v >>= 1
+    return result
+
+
+@pytest.mark.parametrize("width", range(1, 63))
+def test_vdc_byte_table_reversal_is_exact(width):
+    from repro.rng.vandercorput import _reverse_bits
+
+    rng = np.random.default_rng(width)
+    top = (1 << width) - 1
+    values = np.concatenate([
+        np.array([0, 1, top, top >> 1, 1 << (width - 1)], dtype=np.int64),
+        rng.integers(0, top, 512, dtype=np.int64, endpoint=True),
+    ])
+    got = _reverse_bits(values, width)
+    assert got.dtype == values.dtype
+    assert np.array_equal(got, _reverse_bits_by_shifts(values, width))

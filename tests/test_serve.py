@@ -186,6 +186,20 @@ class TestExecuteGroup:
             batched["result"]
         )
 
+    def test_override_free_audits_coalesce(self):
+        # Regression: with no overrides the batched audit has one shared
+        # row, and rendering row j >= 1 raised IndexError.
+        plan = _plan("depth8")
+        reqs = [_req(i, length=1024) for i in range(3)]
+        grouped = execute_group(reqs, plan)
+        solo = execute_group([reqs[0]], plan)[0]
+        assert [r["meta"]["coalesced"] for r in grouped] == [3, 3, 3]
+        for got in grouped:
+            assert got["meta"]["route"] == "batched"
+            assert canonical_result(got["result"]) == canonical_result(
+                solo["result"]
+            )
+
     def test_shed_audit_with_overrides_stays_batched(self):
         # The streaming auditor takes no per-source overrides — the one
         # documented load-shed gap: overridden audits always materialise.
