@@ -28,7 +28,14 @@ derived :meth:`StreamRNG.integers_window` / :meth:`StreamRNG.sequence_at`)
 provide exactly that, with three resolution strategies, best first:
 
 1. a subclass :meth:`StreamRNG._generate_window` override computing the
-   window directly (Halton's radical inverse is index-addressable);
+   window directly. Halton (any width) and wide VDC (width > 16) are
+   index-addressable *and* digit-separable: an index splits into a low
+   part (the low ``k`` base-``b`` digits, at most 2**16 values) and a
+   high part, so a window of at least one block is served from a lazily
+   built, read-only table over the low part, with one combine step per
+   aligned block of ``b**k`` indices (:func:`_aligned_blocks`). Shorter
+   windows run the per-element path (Halton's digit loop, which also
+   builds its table; VDC's byte-table reversal);
 2. a finite ``period`` property no larger than
    :data:`PERIOD_CACHE_LIMIT`: one period is generated once, cached on
    the instance, and indexed modulo the period (VDC, LFSR, counter,
@@ -39,7 +46,11 @@ provide exactly that, with three resolution strategies, best first:
 
 All three are value-exact: ``sequence_window(s, e)`` equals
 ``sequence(e)[s:e]`` element for element (property-tested in
-``tests/test_streaming.py``).
+``tests/test_streaming.py``; the table paths are checked bit for bit
+against the digit loops in ``tests/test_rngs.py``).
+
+Samples are ``int64``, so a modulus above ``2**63`` (a width above 63)
+is rejected at construction.
 """
 
 from __future__ import annotations
@@ -50,6 +61,7 @@ from typing import Optional
 import numpy as np
 
 from .._validation import check_non_negative_int, check_positive_int
+from ..exceptions import RNGConfigurationError
 
 __all__ = ["StreamRNG", "PERIOD_CACHE_LIMIT"]
 
@@ -58,6 +70,26 @@ __all__ = ["StreamRNG", "PERIOD_CACHE_LIMIT"]
 # below one streaming tile. Every built-in periodic generator is width-8
 # by default (period <= 256), so the cap only guards pathological widths.
 PERIOD_CACHE_LIMIT = 1 << 16
+
+# Largest modulus whose values [0, modulus) an int64 sample holds.
+_MAX_MODULUS = 1 << 63
+
+
+def _aligned_blocks(first: int, count: int, size: int):
+    """Split indices ``[first, first + count)`` at multiples of ``size``.
+
+    Yields ``(offset, lo, hi, block)`` per aligned block touched: output
+    positions ``[offset, offset + hi - lo)`` hold indices
+    ``block * size + lo .. block * size + hi - 1``, i.e. rows
+    ``[lo, hi)`` of a ``size``-entry low-part table combined with the
+    high part ``block``.
+    """
+    pos, stop = first, first + count
+    while pos < stop:
+        block, lo = divmod(pos, size)
+        hi = min(size, lo + stop - pos)
+        yield pos - first, lo, hi, block
+        pos += hi - lo
 
 
 class StreamRNG(abc.ABC):
@@ -69,6 +101,11 @@ class StreamRNG(abc.ABC):
 
     def __init__(self, modulus: int) -> None:
         self._modulus = check_positive_int(modulus, name="modulus")
+        if self._modulus > _MAX_MODULUS:
+            raise RNGConfigurationError(
+                f"modulus {self._modulus} does not fit the int64 sample type "
+                f"(at most 2**63, i.e. width <= 63)"
+            )
         self._cursor = 0
         self._cache: Optional[np.ndarray] = None
         self._period_cache: Optional[np.ndarray] = None

@@ -42,17 +42,19 @@ class CounterRNG(StreamRNG):
         """One full ramp: ``2**width`` cycles."""
         return self.modulus
 
+    # ``& (modulus - 1)`` is the modulo for a power-of-two modulus, and
+    # unlike ``% modulus`` it stays in int64 at width 63.
     def _generate(self, length: int) -> np.ndarray:
-        return (np.arange(length, dtype=np.int64) + self._offset) % self.modulus
+        return (np.arange(length, dtype=np.int64) + self._offset) & (self.modulus - 1)
 
     def _generate_window(self, start: int, stop: int):
         # Narrow counters decline: tiling the cached ramp beats an
-        # arange + modulo over the window.
+        # arange + mask over the window.
         if self.modulus <= PERIOD_CACHE_LIMIT:
             return None
-        return (np.arange(start, stop, dtype=np.int64) + self._offset) % self.modulus
+        return (np.arange(start, stop, dtype=np.int64) + self._offset) & (self.modulus - 1)
 
     def _generate_at(self, indices: np.ndarray):
         if self.modulus <= PERIOD_CACHE_LIMIT:
             return None
-        return (indices + self._offset) % self.modulus
+        return (indices + self._offset) & (self.modulus - 1)

@@ -10,14 +10,22 @@ bits are short.
 Over one period of ``2**width`` cycles every residue appears exactly once,
 so a VDC-driven D/S converter is *exact*: an input ``x`` yields a stream
 with exactly ``x`` ones.
+
+Wide registers (width > 16) are windowed, not period-cached. A window of
+at least 2**16 indices is built from one lazily built 2**16-entry
+reversal table: the reversed low 16 index bits, shifted into the top of
+the register, plus the block's reversed high bits as one scalar per
+aligned 2**16 block.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .._validation import check_non_negative_int, check_positive_int
-from .base import PERIOD_CACHE_LIMIT, StreamRNG
+from .base import PERIOD_CACHE_LIMIT, StreamRNG, _aligned_blocks
 
 __all__ = ["VanDerCorput"]
 
@@ -43,6 +51,37 @@ def _reverse_bits(values: np.ndarray, width: int) -> np.ndarray:
     out[:, :nbytes] = _BYTE_REVERSED[le[:, nbytes - 1::-1]]
     reversed_ = (out.view("<u8") >> np.uint64(8 * nbytes - width)).view("<i8")
     return reversed_.reshape(np.shape(values)).astype(values.dtype, copy=False)
+
+
+_LOW_BITS = 16
+
+
+@lru_cache(maxsize=1)
+def _low_reversal_table() -> np.ndarray:
+    """The 16-bit reversal of every 16-bit value (read-only uint16)."""
+    table = _reverse_bits(np.arange(1 << _LOW_BITS, dtype=np.int64), _LOW_BITS)
+    table = table.astype(np.uint16)
+    table.setflags(write=False)
+    return table
+
+
+def _reverse_run(first: int, count: int, width: int) -> np.ndarray:
+    """``_reverse_bits(arange(first, first + count), width)``, served from
+    the low reversal table when ``width > 16`` and the run covers at
+    least one 2**16 block (the byte-table reversal otherwise)."""
+    if width <= _LOW_BITS or count < 1 << _LOW_BITS:
+        return _reverse_bits(np.arange(first, first + count, dtype=np.int64), width)
+    table = _low_reversal_table()
+    high_bits = width - _LOW_BITS
+    out = np.empty(count, dtype=np.int64)
+    for offset, lo, hi, block in _aligned_blocks(first, count, 1 << _LOW_BITS):
+        seg = out[offset:offset + hi - lo]
+        np.left_shift(table[lo:hi], high_bits, out=seg, dtype=np.int64)
+        # Index bits at or above ``width`` wrap away with the period.
+        high = block & ((1 << high_bits) - 1)
+        if high:
+            seg |= int(f"{high:0{high_bits}b}"[::-1], 2)
+    return out
 
 
 class VanDerCorput(StreamRNG):
@@ -73,21 +112,20 @@ class VanDerCorput(StreamRNG):
     def period(self) -> int:
         return self.modulus
 
-    # _reverse_bits reads only the low ``width`` bits, so the index wraps
-    # modulo the period without a ``%`` pass.
+    # The reversal reads only the low ``width`` index bits, so the index
+    # wraps modulo the period without a ``%`` pass.
     def _generate(self, length: int) -> np.ndarray:
-        index = np.arange(length, dtype=np.int64) + self._phase
-        return _reverse_bits(index, self._width)
+        return _reverse_run(self._phase, length, self._width)
 
     def _generate_window(self, start: int, stop: int):
         # Bit reversal is index-addressable, so windows cost O(window)
         # at any width — wide-register VDC sources stay streamable even
         # when the period is too large for the period cache. Narrow
         # registers decline (return None): tiling the cached period is
-        # cheaper than a byte-table pass over the window.
+        # cheaper than a reversal pass over the window.
         if self.period <= PERIOD_CACHE_LIMIT:
             return None
-        return self._generate_at(np.arange(start, stop, dtype=np.int64))
+        return _reverse_run(start + self._phase, stop - start, self._width)
 
     def _generate_at(self, indices: np.ndarray):
         if self.period <= PERIOD_CACHE_LIMIT:

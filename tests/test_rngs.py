@@ -1,7 +1,11 @@
 """Unit tests for the RNG zoo (repro.rng)."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import RNGConfigurationError
 from repro.rng import (
@@ -99,11 +103,11 @@ class TestVanDerCorput:
 class TestHalton:
     def test_radical_inverse_base2(self):
         out = radical_inverse(np.array([1, 2, 3, 4]), 2)
-        assert np.allclose(out, [0.5, 0.25, 0.75, 0.125])
+        assert out.tolist() == [0.5, 0.25, 0.75, 0.125]
 
     def test_radical_inverse_base3(self):
         out = radical_inverse(np.array([1, 2, 3]), 3)
-        assert np.allclose(out, [1 / 3, 2 / 3, 1 / 9])
+        assert out.tolist() == [1 / 3, 2 / 3, 1 / 9]
 
     def test_values_in_range(self):
         seq = Halton(base=3, width=8).sequence(500)
@@ -304,3 +308,172 @@ def test_vdc_byte_table_reversal_is_exact(width):
     got = _reverse_bits(values, width)
     assert got.dtype == values.dtype
     assert np.array_equal(got, _reverse_bits_by_shifts(values, width))
+
+
+# ---------------------------------------------------------------------- #
+# Sample-type width limit: int64 samples hold widths <= 63
+# ---------------------------------------------------------------------- #
+
+@pytest.mark.parametrize("spec", available_rngs())
+def test_width_64_rejected_at_construction(spec):
+    with pytest.raises(RNGConfigurationError):
+        make_rng(spec, width=64)
+
+
+@pytest.mark.parametrize("spec", available_rngs())
+def test_width_63_windows_stay_in_range(spec):
+    # The LFSR has no built-in width-63 taps; x^63 + x^62 + 1 is maximal.
+    kwargs = {"taps": (63, 62)} if spec == "lfsr" else {}
+    rng = make_rng(spec, width=63, **kwargs)
+    windows = [(0, 100), (5, 3000)]
+    if spec not in ("system", "lfsr"):
+        # Index-addressable: far windows, long enough for the table paths.
+        windows.append((2 ** 40 - 7, 2 ** 40 + 70_000))
+    for start, stop in windows:
+        window = rng.sequence_window(start, stop)
+        assert window.dtype == np.int64
+        assert window.min() >= 0 and window.max() < rng.modulus
+
+
+def test_halton_width_63_fraction_rounded_to_one_stays_in_range():
+    # radical_inverse(2**54 - 1, 2) sums 54 halvings and rounds to 1.0;
+    # quantised at width 63 that is 2**63, one past the int64 range.
+    assert radical_inverse(np.array([2 ** 54 - 1]), 2)[0] == 1.0
+    window = Halton(base=2, width=63, phase=2 ** 54 - 1).sequence_window(0, 3)
+    assert window[0] == 2 ** 63 - 1
+    assert window.min() >= 0
+
+
+# ---------------------------------------------------------------------- #
+# Table-driven windows vs frozen copies of the per-element loops
+# ---------------------------------------------------------------------- #
+
+def _radical_inverse_by_digits(index, base):
+    """Frozen per-element digit loop (the reference for the table path)."""
+    index = np.asarray(index, dtype=np.int64)
+    result = np.zeros(index.shape, dtype=np.float64)
+    scale = 1.0 / base
+    remaining = index.copy()
+    while remaining.max(initial=0) > 0:
+        digit = remaining % base
+        result += digit * scale
+        scale /= base
+        remaining //= base
+    return result
+
+
+_BYTE_REVERSED = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)], dtype=np.uint8)
+
+
+def _reverse_bits_by_bytes(values, width):
+    """Frozen byte-table reversal (the reference for the VDC table path)."""
+    nbytes = -(-width // 8)
+    le = np.ascontiguousarray(values, dtype="<i8").reshape(-1, 1).view(np.uint8)
+    out = np.zeros_like(le)
+    out[:, :nbytes] = _BYTE_REVERSED[le[:, nbytes - 1::-1]]
+    return (out.view("<u8") >> np.uint64(8 * nbytes - width)).view("<i8").reshape(-1)
+
+
+# Table block sizes: base**k <= 2**16.
+_HALTON_BLOCKS = {2: 2 ** 16, 3: 3 ** 10, 5: 5 ** 6, 7: 7 ** 5}
+
+
+def _halton_windows(block):
+    """(first index, count) runs: whole and partial blocks, block and
+    2**40 straddles, and one run shorter than a block (loop path)."""
+    return [
+        (0, block),
+        (block - 7, 2 * block + 20),
+        (5 * block + 3, block),
+        (2 ** 40 - block // 2, 2 * block + 3),
+        (2 ** 40 + 1, block - 1),
+    ]
+
+
+def _radical_inverse_run(first, count, base):
+    """The table path's blocks assembled into one float64 array."""
+    from repro.rng.halton import _radical_inverse_blocks
+
+    out = np.empty(count, dtype=np.float64)
+    for offset, fracs in _radical_inverse_blocks(first, count, base):
+        out[offset:offset + fracs.size] = fracs
+    return out
+
+
+@lru_cache(maxsize=None)
+def _reference_fracs(base, first, count):
+    fracs = _radical_inverse_by_digits(np.arange(first, first + count), base)
+    fracs.setflags(write=False)
+    return fracs
+
+
+class TestTableWindows:
+    @pytest.mark.parametrize("base", sorted(_HALTON_BLOCKS))
+    def test_radical_inverse_run_is_bit_identical(self, base):
+        from repro.rng.halton import _low_digit_table
+
+        assert _low_digit_table(base)[0].size == _HALTON_BLOCKS[base]
+        for first, count in _halton_windows(_HALTON_BLOCKS[base]):
+            got = _radical_inverse_run(first, count, base)
+            want = _reference_fracs(base, first, count)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @given(
+        base=st.sampled_from(sorted(_HALTON_BLOCKS)),
+        first=st.integers(0, 2 ** 45),
+        blocks=st.floats(1.0, 3.0),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_radical_inverse_run_random_windows(self, base, first, blocks):
+        count = int(blocks * _HALTON_BLOCKS[base])
+        got = _radical_inverse_run(first, count, base)
+        want = _radical_inverse_by_digits(np.arange(first, first + count), base)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("width", range(1, 63))
+    def test_halton_quantised_windows_exact(self, width):
+        phase = 5
+        modulus = 1 << width
+        for base, block in _HALTON_BLOCKS.items():
+            rng = Halton(base=base, width=width, phase=phase)
+            start = 2 ** 40 - block // 3
+            stop = start + block + 11
+            fracs = _reference_fracs(base, start + phase, stop - start)
+            want = np.minimum((fracs * modulus).astype(np.int64), modulus - 1)
+            assert np.array_equal(rng.sequence_window(start, stop), want)
+
+    @pytest.mark.parametrize("width", range(17, 63))
+    def test_vdc_wide_windows_exact(self, width):
+        phase = 12345
+        block = 1 << 16
+        wrap = (1 << width) - block - 50 - phase  # indices cross 2**width
+        rng = VanDerCorput(width=width, phase=phase)
+        for start, count in [
+            (3 * block - 100, 2 * block + 7),
+            (wrap, 2 * block + 3),
+            (2 ** 40 - block // 2, block + 5),
+            (2 ** 40 + 3, block - 1),
+        ]:
+            got = rng.sequence_window(start, start + count)
+            index = np.arange(start, start + count, dtype=np.int64) + phase
+            assert np.array_equal(got, _reverse_bits_by_bytes(index, width))
+
+    @pytest.mark.parametrize("rng", [
+        VanDerCorput(width=20, phase=3),
+        VanDerCorput(width=62),
+        Halton(base=3, width=20),
+        Halton(base=7, width=8, phase=0),
+    ], ids=repr)
+    def test_window_equals_sequence_slice(self, rng):
+        start, stop = (1 << 16) - 3, 3 * (1 << 16) + 5
+        assert np.array_equal(
+            rng.sequence_window(start, stop), rng.sequence(stop)[start:stop]
+        )
+
+    def test_tables_are_read_only(self):
+        from repro.rng.halton import _low_digit_table
+        from repro.rng.vandercorput import _low_reversal_table
+
+        for table in (_low_digit_table(3)[0], _low_reversal_table()):
+            assert not table.flags.writeable
+            assert table.size <= 1 << 16
