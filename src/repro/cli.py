@@ -21,10 +21,11 @@ Commands:
   FSM nodes, plan-cache hits/misses) next to the audit table;
 * ``audit <graph> [--fix]`` — engine-backed correlation audit of a
   named graph, optionally with the autofix pass applied;
-* ``serve [--port P] [--window-ms W] [--max-batch B]`` — long-lived
-  micro-batching front-end (:mod:`repro.serve`): concurrent run/audit
-  requests sharing a plan coalesce into single batched engine passes,
-  byte-identical to solo service;
+* ``serve [--port P] [--max-batch B]`` — long-lived micro-batching
+  front-end (:mod:`repro.serve`): run/audit requests sharing a plan that
+  arrive while a pass for it is in flight coalesce into the next batched
+  engine pass (a lone request dispatches at once), byte-identical to
+  solo service;
 * ``client <kind> [target]`` — one-shot request against a running
   server (``ping`` / ``stats`` / ``run`` / ``audit`` / ``spec`` /
   ``shutdown``), response printed as JSON;
@@ -246,11 +247,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve_p.add_argument("--host", default="127.0.0.1")
     serve_p.add_argument("--port", type=int, default=DEFAULT_PORT,
                          help="TCP port (0 picks a free one)")
-    serve_p.add_argument("--window-ms", type=float, default=3.0,
-                         help="micro-batch window; concurrent requests "
-                              "sharing a plan coalesce within it")
     serve_p.add_argument("--max-batch", type=int, default=32,
-                         help="flush a group early at this size")
+                         help="largest group of requests one engine pass "
+                              "serves (1 disables coalescing)")
     serve_p.add_argument("--budget-mb", type=int, default=256,
                          help="materialised-footprint budget before a "
                               "group sheds into streaming execution")
@@ -606,7 +605,6 @@ def _cmd_serve(args) -> int:
     config = ServeConfig(
         host=args.host,
         port=args.port,
-        window_ms=args.window_ms,
         max_batch=args.max_batch,
         budget_bytes=args.budget_mb * 1024 * 1024,
         stream_jobs=args.jobs,

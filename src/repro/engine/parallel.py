@@ -504,6 +504,8 @@ def _parallel_stream_execute(
         plan = dce_plan(exec_plan, frozenset(keep_set))
 
     schedule = plan.fused_schedule(exposed if fuse else None)
+    if not schedule:
+        return _sequential()  # pruned to nothing: no span worth a worker
     fused_chains = sum(1 for item in schedule if isinstance(item, FusedChain))
     needs_select = any(
         s.op == "scaled_add" for s in plan.steps if s.kind == "op"

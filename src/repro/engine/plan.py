@@ -70,8 +70,9 @@ PLAN_CACHE_MAXSIZE = 256
 # plans from asyncio worker-executor threads, and an unguarded
 # OrderedDict move_to_end/popitem pair racing across threads can corrupt
 # the dict's internal links. Compilation itself runs outside the lock —
-# two threads may build the same plan concurrently and last-write-wins,
-# which is harmless because equal signatures produce equivalent plans.
+# two threads may build the same plan concurrently; the first to store
+# it wins and the other returns the stored plan, so every caller shares
+# one plan object (and its memos) per (signature, level).
 # The at-fork hook rebinds a fresh lock in children (same hygiene as the
 # executor's sequence memos): a fork taken while another thread held the
 # lock must not deadlock the child.
@@ -652,9 +653,9 @@ def compile_graph(
         plan = raw
     if use_cache:
         with _PLAN_LOCK:
-            _PLAN_CACHE[(signature, 0)] = raw
+            _PLAN_CACHE.setdefault((signature, 0), raw)
             _PLAN_CACHE.move_to_end((signature, 0))
-            _PLAN_CACHE[(signature, level)] = plan
+            plan = _PLAN_CACHE.setdefault((signature, level), plan)
             _PLAN_CACHE.move_to_end((signature, level))
             while len(_PLAN_CACHE) > PLAN_CACHE_MAXSIZE:
                 _PLAN_CACHE.popitem(last=False)

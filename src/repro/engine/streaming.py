@@ -371,6 +371,8 @@ def _walk_tiles(
     count remaining cycles identically in either caller."""
     from .optimize import BufferArena
 
+    if not schedule:
+        return  # dead-node elimination pruned every node: no work to count
     # One arena for the whole walk: every fused chain's interior scratch
     # comes from (and returns to) this pool, so chains recycle each
     # other's buffers tile after tile.

@@ -10,10 +10,10 @@ engine pass:
   the set of parameters that must match for their configurations to be
   rows of one :func:`~repro.engine.executor.run_batch` /
   :func:`~repro.engine.executor.audit_batch` call.
-* The first request of a group opens a micro-batch **window**
-  (:attr:`~repro.serve.server.ServeConfig.window_ms`, 2–10 ms); the
-  group flushes when the window closes or when it reaches
-  :attr:`~repro.serve.server.ServeConfig.max_batch`, whichever first.
+* Coalescing is driven by demand, not by a timer: a key with no pass in
+  flight dispatches on the next event-loop iteration; requests arriving
+  while its pass runs accumulate and dispatch when it completes, or at
+  :attr:`~repro.serve.server.ServeConfig.max_batch`.
 * The engine's row contract — *row i of a batched pass is bit-identical
   to evaluating configuration i alone* — makes coalescing invisible:
   a request served in a batch of 40 returns byte-identical payload to

@@ -88,7 +88,7 @@ class ServeClient:
         """Pipeline several requests on this connection.
 
         All requests are written before any response is read, so they
-        can land in the same micro-batch window. Responses are matched
+        can land in the same micro-batch group. Responses are matched
         by id and returned in *request* order.
         """
         self.connect()

@@ -5,22 +5,24 @@ passes run on a small thread pool (the engine releases the GIL inside
 numpy kernels, and the plan cache / executor memos are lock-protected,
 so concurrent groups are safe). Per group-key the lifecycle is:
 
-* first request **opens a window** (``loop.call_later(window_ms)``),
-* subsequent requests with the same key pile into the group,
-* the group **flushes** when the window timer fires or the group hits
-  ``max_batch`` — whichever comes first — into one
-  :func:`~repro.serve.batcher.execute_group` call,
-* each caller's future resolves with its own split-out response.
+* a group whose key has no engine pass in flight **dispatches on the
+  next loop iteration** (``loop.call_soon``), after every line already
+  buffered on the sockets is read — so pipelined requests still group
+  and a lone request never waits for peers that are not coming;
+* requests arriving while a pass for the key runs **accumulate** and
+  dispatch when its last in-flight pass completes, or at ``max_batch``;
+* each group is one :func:`~repro.serve.batcher.execute_group` call;
+  each caller's future resolves with its own split-out response.
 
 Requests are fully validated *before* joining a group (unknown graph,
 unknown source, out-of-range value, unknown keep name → an immediate
 error response), so a malformed request can never fail the batched pass
 its neighbours are riding in.
 
-Observability: the server opens an obs session if none is active and
-spools deltas to ``<store>/obs/serve-<pid>.jsonl`` after every group
-(:func:`repro.obs.drain_spool`), so ``repro stats --store <root>``
-aggregates serving counters across connections and server restarts.
+Observability: a server with a store opens an obs session if none is
+active and spools deltas to ``<store>/obs/serve-<pid>.jsonl`` after
+every group (:func:`repro.obs.drain_spool`), so ``repro stats --store
+<root>`` aggregates serving counters across connections and restarts.
 Counters mirror into a plain dict served by the ``stats`` request —
 drains never zero the client-visible numbers.
 """
@@ -62,16 +64,15 @@ __all__ = ["ServeConfig", "SCServer", "ServerThread", "serve_forever"]
 class ServeConfig:
     """Tunables of one server instance.
 
-    ``window_ms`` in the 2–10 ms band trades a small first-request
-    latency bump for large coalescing wins under concurrency;
-    ``window_ms=0`` with ``max_batch=1`` disables coalescing entirely
+    ``max_batch`` is the only coalescing knob: groups form while a pass
+    for their key is in flight and dispatch at most ``max_batch``
+    requests at a time; ``max_batch=1`` disables coalescing entirely
     (the benchmark's control arm). ``store_root`` enables both the
     content-addressed response cache and the obs spool directory.
     """
 
     host: str = "127.0.0.1"
     port: int = 0
-    window_ms: float = 3.0
     max_batch: int = 32
     budget_bytes: int = DEFAULT_BUDGET_BYTES
     stream_jobs: int = 1
@@ -106,7 +107,8 @@ class SCServer:
         self._plans: Dict[str, ExecutionPlan] = {}
         # group key -> [(request, future, enqueue_perf_counter)]
         self._groups: Dict[tuple, List[Tuple[ServeRequest, asyncio.Future, float]]] = {}
-        self._timers: Dict[tuple, asyncio.TimerHandle] = {}
+        # group key -> engine passes dispatched and not yet done
+        self._in_flight: Dict[tuple, int] = {}
         self._tasks: set = set()
         self._pending = 0
         self._server: Optional[asyncio.AbstractServer] = None
@@ -120,7 +122,9 @@ class SCServer:
     # ------------------------------------------------------------------ #
 
     async def start(self) -> None:
-        if not obs.enabled():
+        # Only a server with a spool opens a session: an undrained one
+        # would keep every group's spans for the life of the server.
+        if self._spool is not None and not obs.enabled():
             obs.start()
             self._owns_obs = True
         self._pool = ThreadPoolExecutor(
@@ -143,7 +147,7 @@ class SCServer:
         self._stopped.set()
 
     async def close(self) -> None:
-        """Flush every open window, finish in-flight groups, tear down.
+        """Dispatch every queued group, finish in-flight groups, tear down.
 
         Idempotent: a second ``close`` (double-``shutdown`` request, or a
         signal racing a client shutdown) finds every handle already
@@ -229,31 +233,48 @@ class SCServer:
         obs.gauge_set("serve.queue.depth", self._pending)
         if len(group) >= self.config.max_batch:
             self._flush(key)
-        elif len(group) == 1:
-            delay = max(0.0, self.config.window_ms) / 1000.0
-            self._timers[key] = loop.call_later(delay, self._flush, key)
+        elif len(group) == 1 and key not in self._in_flight:
+            loop.call_soon(self._flush_if_idle, key)
         return future
 
+    def _flush_if_idle(self, key: tuple) -> None:
+        if key not in self._in_flight:
+            self._flush(key)
+
     def _flush(self, key: tuple) -> None:
-        timer = self._timers.pop(key, None)
-        if timer is not None:
-            timer.cancel()
         group = self._groups.pop(key, None)
         if not group:
             return
+        self._in_flight[key] = self._in_flight.get(key, 0) + 1
         task = asyncio.ensure_future(self._run_group(group))
         self._tasks.add(task)
-        task.add_done_callback(self._tasks.discard)
+        task.add_done_callback(partial(self._release, key, group))
+
+    def _release(self, key: tuple, group: list, task: asyncio.Future) -> None:
+        """A group pass's ``finally``, run as a done callback so it also
+        runs for a task cancelled before its first step: a failed or
+        cancelled group never wedges its key or strands its callers."""
+        self._tasks.discard(task)
+        self._pending -= len(group)
+        obs.gauge_set("serve.queue.depth", self._pending)
+        for _, future, _ in group:
+            if not future.done():
+                future.cancel()
+        self._in_flight[key] -= 1
+        if not self._in_flight[key]:
+            del self._in_flight[key]
+            self._flush(key)
+        self._drain_obs()
 
     async def _run_group(
         self, group: List[Tuple[ServeRequest, asyncio.Future, float]]
     ) -> None:
         loop = asyncio.get_running_loop()
-        flushed_at = time.perf_counter()
+        dispatched_at = time.perf_counter()
         requests = [req for req, _, _ in group]
         for _, _, enqueued_at in group:
             obs.histogram_record(
-                "serve.window.latency_ms", (flushed_at - enqueued_at) * 1000.0
+                "serve.queue.latency_ms", (dispatched_at - enqueued_at) * 1000.0
             )
         plan = self._plans[requests[0].graph]
         try:
@@ -280,12 +301,9 @@ class SCServer:
             self._count("serve.coalesce.batched", len(group))
         else:
             self._count("serve.coalesce.solo", 1)
-        self._pending -= len(group)
-        obs.gauge_set("serve.queue.depth", self._pending)
         for (_, future, _), response in zip(group, responses):
             if not future.done():
                 future.set_result(response)
-        self._drain_obs()
 
     def _count(self, name: str, value: int) -> None:
         self.counters[name] = self.counters.get(name, 0) + value
@@ -296,7 +314,7 @@ class SCServer:
         metrics across connections/restarts. Only when this server owns
         the session — inside a caller's ``obs.observe()`` (tests), the
         caller keeps its in-memory trace intact."""
-        if self._owns_obs and self._spool is not None:
+        if self._owns_obs:
             obs.drain_spool(self._spool)
 
     # ------------------------------------------------------------------ #
@@ -308,7 +326,6 @@ class SCServer:
             "pid": os.getpid(),
             "uptime_s": time.perf_counter() - self._started_at,
             "queue_depth": self._pending,
-            "window_ms": self.config.window_ms,
             "max_batch": self.config.max_batch,
             "counters": dict(self.counters),
         }
@@ -443,7 +460,7 @@ class ServerThread:
 
     ::
 
-        with ServerThread(ServeConfig(window_ms=5.0)) as srv:
+        with ServerThread(ServeConfig(max_batch=16)) as srv:
             client = ServeClient(port=srv.port)
             ...
     """

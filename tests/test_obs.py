@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from repro import engine, obs
 from repro.engine.library import GRAPH_LIBRARY, build_graph
+from repro.engine.pool import shutdown_pool
 from repro.obs import metrics as obs_metrics
 from repro.obs import tracer as obs_tracer
 from tests.helpers import assert_backends_equivalent
@@ -229,6 +230,29 @@ class TestInstrumentation:
         assert walk and walk[0]["args"]["tiles"] == 8
         stream = trace.by_name("engine.stream")
         assert stream and walk[0]["parent"] == trace.spans.index(stream[0])
+
+    def test_streaming_counters_count_only_work_done(self):
+        # keep=() lets dead-node elimination prune every node: no tile
+        # is stepped, so none may be counted. An audit still counts all.
+        plan = engine.compile(build_graph("fsm_zoo"))
+        for jobs in (1, 2):
+            try:
+                with obs.observe() as trace:
+                    run = plan.run_streaming(1 << 10, tile_words=2, keep=(),
+                                             jobs=jobs)
+            finally:
+                shutdown_pool()
+            counters = trace.metrics["counters"]
+            assert run.ones == {} and run.packed == {}
+            assert counters.get("engine.stream.tiles", 0) == 0
+            assert counters.get("engine.stream.words", 0) == 0
+            assert counters.get("engine.pool.tasks", 0) == 0
+            assert trace.by_name("engine.stream.walk") == []
+        with obs.observe() as trace:
+            plan.audit_streaming(1 << 10, tile_words=2)
+        counters = trace.metrics["counters"]
+        assert counters["engine.stream.tiles"] == 8
+        assert counters["engine.stream.words"] == 16
 
 
 # ---------------------------------------------------------------------- #

@@ -9,10 +9,12 @@ satellites this PR hardens: the engine plan cache under thread hammer
 and the result store under same-key multi-process write races.
 """
 
+import asyncio
 import json
 import multiprocessing
 import pathlib
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -340,6 +342,37 @@ class TestPlanCacheThreadSafety:
         info = cache_info()
         assert info["hits"] + info["misses"] == 16 * 25 * len(graphs)
 
+    def test_racing_misses_share_the_first_stored_plan(self, monkeypatch):
+        """Threads that all miss and compile the same graph at once
+        still return one plan object: the first stored plan wins. (The
+        hammer test above hits this race only now and then.)"""
+        from repro.engine import plan as plan_mod
+
+        clear_cache()
+        graph = build_graph("correlated_multiply")
+        barrier = threading.Barrier(4)
+        real_build = plan_mod._build_plan
+
+        def build_after_every_thread_missed(*args):
+            barrier.wait(timeout=10)
+            return real_build(*args)
+
+        monkeypatch.setattr(plan_mod, "_build_plan",
+                            build_after_every_thread_missed)
+        plans = []
+        threads = [
+            threading.Thread(target=lambda: plans.append(compile_graph(graph)))
+            for _ in range(4)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert len(plans) == 4
+        assert len({id(p) for p in plans}) == 1
+        assert cache_info()["misses"] == 4
+        assert compile_graph(graph) is plans[0]
+
     def test_clear_cache_racing_compile(self):
         """clear_cache interleaved with compile_graph never corrupts the
         cache (worst case is extra misses)."""
@@ -415,8 +448,7 @@ class TestStoreWriteRace:
 
 @pytest.fixture()
 def server(tmp_path):
-    config = ServeConfig(window_ms=5.0, max_batch=16,
-                         store_root=str(tmp_path / "store"))
+    config = ServeConfig(max_batch=16, store_root=str(tmp_path / "store"))
     with ServerThread(config) as srv:
         yield srv
 
@@ -491,12 +523,178 @@ class TestServer:
         assert report.coalesced_max > 1
 
     def test_shutdown_request_stops_server(self, tmp_path):
-        config = ServeConfig(window_ms=2.0)
+        config = ServeConfig()
         with ServerThread(config) as srv:
             with ServeClient(port=srv.port) as client:
                 assert client.shutdown() == "stopping"
             srv._thread.join(timeout=10)
             assert not srv._thread.is_alive()
+
+
+# ---------------------------------------------------------------------- #
+# demand-driven coalescing: the scheduler against a gated engine pass
+# ---------------------------------------------------------------------- #
+
+
+class _GatedEngine:
+    """Stands in for ``execute_group``: records each pass's group size
+    and blocks in the engine thread until the test opens ``gate``."""
+
+    def __init__(self, fail_first=False):
+        self.sizes = []
+        self.entered = threading.Event()
+        self.gate = threading.Event()
+        self.fail_first = fail_first
+
+    def __call__(self, requests, plan, **_):
+        self.sizes.append(len(requests))
+        self.entered.set()
+        if not self.gate.wait(timeout=30):
+            raise TimeoutError("gate never opened")
+        if self.fail_first and len(self.sizes) == 1:
+            raise RuntimeError("engine blew up")
+        return [{"id": r.id, "ok": True, "result": len(requests)}
+                for r in requests]
+
+
+def _drive(monkeypatch, engine_stub, scenario, **config):
+    """Run ``scenario(server)`` on a live SCServer whose engine passes go
+    through ``engine_stub``; requests enter at ``_enqueue`` directly."""
+    from repro.serve import server as server_mod
+
+    monkeypatch.setattr(server_mod, "execute_group", engine_stub)
+
+    async def main():
+        srv = server_mod.SCServer(ServeConfig(**config))
+        await srv.start()
+        try:
+            return await asyncio.wait_for(scenario(srv), timeout=30)
+        finally:
+            engine_stub.gate.set()
+            await srv.close()
+
+    return asyncio.run(main())
+
+
+def _submit(srv, i):
+    req = _req(i)
+    srv._validate(req)
+    return srv._enqueue(req)
+
+
+async def _until(predicate, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        await asyncio.sleep(0.001)
+
+
+class TestDemandDrivenCoalescing:
+    def test_lone_request_dispatches_on_next_loop_iteration(self, monkeypatch):
+        stub = _GatedEngine()
+        stub.gate.set()
+
+        async def scenario(srv):
+            future = _submit(srv, 0)
+            assert srv._groups  # queued, not yet dispatched
+            await asyncio.sleep(0)
+            assert not srv._groups  # dispatched: no timer to wait out
+            return await future
+
+        response = _drive(monkeypatch, stub, scenario)
+        assert response["ok"] and stub.sizes == [1]
+
+    def test_requests_behind_a_running_pass_form_one_group(self, monkeypatch):
+        stub = _GatedEngine()
+
+        async def scenario(srv):
+            a = _submit(srv, 0)
+            await _until(stub.entered.is_set)
+            b = _submit(srv, 1)
+            await asyncio.sleep(0.05)  # far apart: no shared dispatch tick
+            c = _submit(srv, 2)
+            await asyncio.sleep(0.05)
+            assert stub.sizes == [1]
+            stub.gate.set()
+            return await asyncio.gather(a, b, c)
+
+        responses = _drive(monkeypatch, stub, scenario)
+        assert stub.sizes == [1, 2]
+        assert [r["result"] for r in responses] == [1, 2, 2]
+
+    def test_failed_pass_answers_callers_and_frees_its_key(self, monkeypatch):
+        stub = _GatedEngine(fail_first=True)
+
+        async def scenario(srv):
+            a = _submit(srv, 0)
+            await _until(stub.entered.is_set)
+            b = _submit(srv, 1)
+            stub.gate.set()
+            responses = await asyncio.gather(a, b)
+            after = await _submit(srv, 2)
+            await _until(lambda: not srv._in_flight)
+            return responses + [after], dict(srv.counters)
+
+        (failed, queued, after), counters = _drive(monkeypatch, stub, scenario)
+        assert failed["ok"] is False
+        assert failed["error"] == "RuntimeError: engine blew up"
+        assert queued["ok"] and after["ok"]
+        assert stub.sizes == [1, 1, 1]
+        assert counters["serve.errors"] == 1
+
+    def test_cancelled_pass_frees_its_key(self, monkeypatch):
+        stub = _GatedEngine()
+
+        async def scenario(srv):
+            a = _submit(srv, 0)
+            await _until(stub.entered.is_set)
+            (task,) = srv._tasks
+            task.cancel()
+            await _until(lambda: not srv._in_flight)
+            assert a.cancelled() and srv._pending == 0
+            b = _submit(srv, 1)
+            stub.gate.set()
+            return await b
+
+        response = _drive(monkeypatch, stub, scenario)
+        assert response["ok"] and stub.sizes == [1, 1]
+
+    def test_close_dispatches_group_queued_behind_a_pass(self, monkeypatch):
+        stub = _GatedEngine()
+
+        async def scenario(srv):
+            a = _submit(srv, 0)
+            await _until(stub.entered.is_set)
+            b = _submit(srv, 1)
+            closing = asyncio.ensure_future(srv.close())
+            await asyncio.sleep(0.05)
+            assert not srv._groups  # dispatched without waiting for A
+            assert not closing.done()
+            stub.gate.set()
+            await closing
+            return a.result(), b.result()
+
+        responses = _drive(monkeypatch, stub, scenario)
+        assert all(r["ok"] for r in responses)
+        assert stub.sizes == [1, 1]
+
+    def test_max_batch_splits_a_burst(self, monkeypatch):
+        stub = _GatedEngine()
+
+        async def scenario(srv):
+            # r0+r1 dispatch at max_batch; r2 must wait for that pass even
+            # when r0's next-iteration dispatch check fires after it.
+            futures = [_submit(srv, i) for i in range(3)]
+            await asyncio.sleep(0.05)
+            # r3 fills r2's group to max_batch; r4 waits behind both.
+            futures += [_submit(srv, i) for i in range(3, 5)]
+            await asyncio.sleep(0.05)
+            stub.gate.set()
+            return await asyncio.gather(*futures)
+
+        responses = _drive(monkeypatch, stub, scenario, max_batch=2)
+        assert stub.sizes == [2, 2, 1]
+        assert [r["result"] for r in responses] == [2, 2, 2, 2, 1]
 
 
 # ---------------------------------------------------------------------- #
@@ -509,7 +707,7 @@ class TestServeObservability:
         from repro.cli import main
 
         root = tmp_path / "store"
-        config = ServeConfig(window_ms=2.0, store_root=str(root))
+        config = ServeConfig(store_root=str(root))
         with ServerThread(config) as srv:
             with ServeClient(port=srv.port) as client:
                 client.request_many(
@@ -541,7 +739,7 @@ class TestServeObservability:
         (obs_dir / "stats-19700101-000000-1.json").write_text(
             json.dumps(obs.stats_doc(trace)) + "\n"
         )
-        config = ServeConfig(window_ms=2.0, store_root=str(root))
+        config = ServeConfig(store_root=str(root))
         with ServerThread(config) as srv:
             with ServeClient(port=srv.port) as client:
                 client.audit("depth8", 256)
@@ -550,6 +748,17 @@ class TestServeObservability:
         out = capsys.readouterr().out
         assert "runner.fake" in out or "store.write" in out
         assert "serve.requests" in out
+
+    def test_storeless_server_keeps_no_trace(self):
+        # With no spool to drain into, a session would only grow by every
+        # group's spans for the life of the server.
+        from repro import obs
+
+        with ServerThread(ServeConfig()) as srv:
+            with ServeClient(port=srv.port) as client:
+                client.audit("depth8", 256)
+            assert not obs.enabled()
+            assert srv.server._owns_obs is False
 
     def test_drain_spool_deltas_sum_to_totals(self, tmp_path):
         from repro import obs
@@ -580,7 +789,7 @@ class TestShutdownDrainsRuntimes:
         from repro.engine import pool as pool_mod
         from repro.serve.server import SCServer
 
-        config = ServeConfig(window_ms=2.0, store_root=str(tmp_path / "store"))
+        config = ServeConfig(store_root=str(tmp_path / "store"))
 
         async def _scenario():
             server = SCServer(config)
@@ -594,7 +803,7 @@ class TestShutdownDrainsRuntimes:
         assert pool_mod._POOL is None  # persistent process pool drained
 
     def test_server_thread_stop_twice(self, tmp_path):
-        config = ServeConfig(window_ms=2.0, store_root=str(tmp_path / "store"))
+        config = ServeConfig(store_root=str(tmp_path / "store"))
         with ServerThread(config) as srv:
             with ServeClient(port=srv.port) as client:
                 assert client.ping() == "pong"
